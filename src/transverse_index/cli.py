@@ -18,6 +18,7 @@ from .model import (
     InvalidTau,
     NegativeCutoff,
     NotNormalized,
+    NothingToCheck,
     RankMismatch,
     WrongOperatorKind,
     ZeroB,
@@ -240,6 +241,7 @@ def main(argv=None) -> int:
         RankMismatch,
         InvalidTau,
         InfiniteMultiplicity,
+        NothingToCheck,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return VALIDATION_FAILED

@@ -8,6 +8,7 @@ from itertools import product
 from typing import Sequence
 
 from .model import (
+    EulerMismatch,
     FixedPoint,
     OperatorSetup,
     Slope,
@@ -146,7 +147,7 @@ def euler_characteristic(setup: OperatorSetup) -> int:
     zero = (0,) * setup.m
     index = transverse_index(setup, zero).value
     if index != count:
-        raise AssertionError(
+        raise EulerMismatch(
             f"invariant index {index} disagrees with point count {count}"
         )
     return count

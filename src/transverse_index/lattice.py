@@ -10,10 +10,13 @@ positive: dotting the equation with tau pins the weighted sum of the
 unknowns, which bounds each unknown.  Bounds are computed in exact integer
 arithmetic on a common-denominator rescaling of tau.
 
-The enumerator is a depth-first search over the unknowns with running
-partial sums; at each node the feasible window for the next unknown is the
-intersection of the per-coordinate windows, so triangular systems (all the
-worked examples) resolve without branching.
+The one enumerator, ``solutions_in_window``, is a depth-first search over
+the unknowns with running partial sums whose image sum x_h k_h must land in
+a box of targets; at each node the feasible window for the next unknown is
+the intersection of the per-coordinate windows, so triangular systems (all
+the worked examples) resolve without branching.  A single target is the
+one-point box (``solve_in_box``); the residual sweeps walk a whole box of
+characters at once.
 """
 from __future__ import annotations
 
@@ -50,21 +53,28 @@ def _frequencies_scaled(point: FixedPoint, tau_scaled: Sequence[int]) -> tuple[i
     return freqs
 
 
-def solve_in_box(
+def solutions_in_window(
     weights: Sequence[Weight],
-    target: Weight,
     lows: Sequence[int],
     highs: Sequence[int],
-) -> Iterator[tuple[int, ...]]:
-    """All integer x with lows <= x <= highs and sum x_h * weights[h] == target.
+    lo_vec: Sequence[int],
+    hi_vec: Sequence[int],
+) -> Iterator[tuple[tuple[int, ...], Weight]]:
+    """All integer x with lows <= x <= highs whose image sum x_h * weights[h]
+    lies coordinatewise in [lo_vec, hi_vec], each paired with its image.
 
-    Yields solutions in lexicographic order.  The search prunes each unknown
-    to the window allowed by every coordinate of the remaining target, given
-    interval hulls of the still-free unknowns.
+    Yields in lexicographic order of x.  The search prunes each unknown to
+    the window allowed by every coordinate, given interval hulls of the
+    still-free unknowns; at the last unknown the hulls are empty, so every
+    leaf it reaches is a solution.
     """
     n = len(weights)
-    m = len(target)
+    m = len(lo_vec)
     if any(lo > hi for lo, hi in zip(lows, highs)):
+        return
+    if n == 0:
+        if all(lo <= 0 <= hi for lo, hi in zip(lo_vec, hi_vec)):
+            yield (), (0,) * m
         return
     # rest_min/rest_max[h][p]: hull of sum_{h' >= h} x_h' * k_h'p
     rest_min = [[0] * m for _ in range(n + 1)]
@@ -78,42 +88,56 @@ def solve_in_box(
             rest_min[h][p] = rest_min[h + 1][p] + a
             rest_max[h][p] = rest_max[h + 1][p] + b
 
-    rem = list(target)
+    acc = [0] * m
     x = [0] * n
+    last = n - 1
 
-    def dfs(h: int) -> Iterator[tuple[int, ...]]:
-        if h == n:
-            if all(r == 0 for r in rem):
-                yield tuple(x)
-            return
+    def dfs(h: int) -> Iterator[tuple[tuple[int, ...], Weight]]:
         xlo, xhi = lows[h], highs[h]
         kh = weights[h]
         nxt_min, nxt_max = rest_min[h + 1], rest_max[h + 1]
         for p in range(m):
             k = kh[p]
-            lo_rest, hi_rest = nxt_min[p], nxt_max[p]
-            r = rem[p]
+            # lo_vec[p] <= acc[p] + x*k + rest <= hi_vec[p], rest in the hull
+            lo_need = lo_vec[p] - acc[p] - nxt_max[p]
+            hi_need = hi_vec[p] - acc[p] - nxt_min[p]
             if k == 0:
-                if not lo_rest <= r <= hi_rest:
+                if lo_need > 0 or hi_need < 0:
                     return
             elif k > 0:
-                # lo_rest <= r - x*k <= hi_rest
-                xlo = max(xlo, -((hi_rest - r) // k))
-                xhi = min(xhi, (r - lo_rest) // k)
+                xlo = max(xlo, -((-lo_need) // k))
+                xhi = min(xhi, hi_need // k)
             else:
-                xlo = max(xlo, -((r - lo_rest) // -k))
-                xhi = min(xhi, (hi_rest - r) // -k)
+                xlo = max(xlo, -(hi_need // -k))
+                xhi = min(xhi, (-lo_need) // -k)
             if xlo > xhi:
                 return
+        if h == last:
+            for v in range(xlo, xhi + 1):
+                x[h] = v
+                yield tuple(x), tuple([a + v * k for a, k in zip(acc, kh)])
+            return
         for v in range(xlo, xhi + 1):
             x[h] = v
             for p in range(m):
-                rem[p] -= v * kh[p]
+                acc[p] += v * kh[p]
             yield from dfs(h + 1)
             for p in range(m):
-                rem[p] += v * kh[p]
+                acc[p] -= v * kh[p]
 
     yield from dfs(0)
+
+
+def solve_in_box(
+    weights: Sequence[Weight],
+    target: Weight,
+    lows: Sequence[int],
+    highs: Sequence[int],
+) -> Iterator[tuple[int, ...]]:
+    """All integer x with lows <= x <= highs and sum x_h * weights[h] == target,
+    in lexicographic order: the one-point window of ``solutions_in_window``."""
+    for x, _ in solutions_in_window(weights, lows, highs, target, target):
+        yield x
 
 
 def _kernel_box(point, target, tau_scaled):

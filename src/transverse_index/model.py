@@ -49,6 +49,14 @@ class InfiniteMultiplicity(ValueError):
     """A required torus index multiplicity is not finite."""
 
 
+class NothingToCheck(ValueError):
+    """A sweep's box or character list holds no nonzero character."""
+
+
+class EulerMismatch(ValueError):
+    """The invariant-sector de Rham index differs from the fixed-point count."""
+
+
 def weight(entries: Iterable[int]) -> Weight:
     return tuple(int(e) for e in entries)
 

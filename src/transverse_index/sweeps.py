@@ -1,28 +1,22 @@
 """Exhaustive residual sweeps over character boxes.
 
-Small boxes are checked point by point.  For larger ranks the sweep first
-enumerates, exactly, every character in the box that can receive a nonzero
-term anywhere (the support of the relevant counting problem) and checks
-those; every other character in the box has all of its counts empty by
-construction, so its residual is identically zero.  Both strategies verify
-the stated identity for the whole box.
-
-Candidate lists are generated in sorted order and evaluated deterministically.
-The TRANSVERSE_INDEX_THREADS environment variable (or the ``threads``
-argument) allows chunked multiprocess evaluation; results are merged in
-candidate order, so the report does not depend on the worker count.
+A box sweep is a scatter: one pruned enumeration per fixed point (Killing
+identity) or per kernel line (de Rham vanishing) walks every solution whose
+character lands in the box, and adds the solution's signed weight to that
+character's residual.  A character the walks never reach has every count
+empty, so its residual is identically zero: the report covers the whole box
+exactly.  Explicit character lists are evaluated by the engine formulas.
+The zero character is never checked; a sweep that would check no character
+raises ``NothingToCheck``.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterable, Optional, Sequence
 
-from .model import OperatorSetup, Weight, WrongOperatorKind, normalize_setup
-from .lattice import _int_dot, scaled_slope, solve_in_box
-
-FULL_SWEEP_LIMIT = 200_000
+from .engine import b_signature_sum, transverse_index
+from .model import NothingToCheck, OperatorSetup, Weight, WrongOperatorKind, normalize_setup
+from .lattice import _frequencies_scaled, scaled_slope, solutions_in_window
 
 
 @dataclass(frozen=True)
@@ -38,80 +32,47 @@ class SweepReport:
         return not self.nonzero
 
 
-def _box_count(m: int, bound: int) -> int:
-    return (2 * bound + 1) ** m
+def _killing_scatter(setup: OperatorSetup, bound: int) -> dict[Weight, int]:
+    """b -> b_signature_sum(b) for every b in the box that some c >= 0 reaches.
 
-
-def _box_characters(m: int, bound: int):
-    return product(range(-bound, bound + 1), repeat=m)
-
-
-def _images_in_box(weights, lows, highs, lo_vec, hi_vec):
-    """Yield every value of sum x_h * weights[h] with lows <= x <= highs that
-    lands coordinatewise inside [lo_vec, hi_vec].  Duplicates are yielded."""
-    n = len(weights)
-    m = len(lo_vec)
-    if any(lo > hi for lo, hi in zip(lows, highs)):
-        return
-    rest_min = [[0] * m for _ in range(n + 1)]
-    rest_max = [[0] * m for _ in range(n + 1)]
-    for h in range(n - 1, -1, -1):
-        for p in range(m):
-            k = weights[h][p]
-            a, b = lows[h] * k, highs[h] * k
-            if a > b:
-                a, b = b, a
-            rest_min[h][p] = rest_min[h + 1][p] + a
-            rest_max[h][p] = rest_max[h + 1][p] + b
-    acc = [0] * m
-
-    def dfs(h: int):
-        if h == n:
-            yield tuple(acc)
-            return
-        xlo, xhi = lows[h], highs[h]
-        kh = weights[h]
-        nxt_min, nxt_max = rest_min[h + 1], rest_max[h + 1]
-        for p in range(m):
-            k = kh[p]
-            # need lo_vec[p] <= acc[p] + x*k + rest[p] <= hi_vec[p]
-            lo_need = lo_vec[p] - acc[p] - nxt_max[p]
-            hi_need = hi_vec[p] - acc[p] - nxt_min[p]
-            if k == 0:
-                if lo_need > 0 or hi_need < 0:
-                    return
-            elif k > 0:
-                xlo = max(xlo, -((-lo_need) // k))
-                xhi = min(xhi, hi_need // k)
-            else:
-                xlo = max(xlo, -(hi_need // -k))
-                xhi = min(xhi, (-lo_need) // -k)
-            if xlo > xhi:
-                return
-        for v in range(xlo, xhi + 1):
-            for p in range(m):
-                acc[p] += v * kh[p]
-            yield from dfs(h + 1)
-            for p in range(m):
-                acc[p] -= v * kh[p]
-
-    yield from dfs(0)
-
-
-def kernel_support(setup: OperatorSetup, bound: int) -> set[Weight]:
-    """All b in the box that solve some line's kernel equation at some point."""
+    At each point, every c >= 0 with -eta * sum c_h k_h = b in the box adds
+    orientation * 2^|supp c| to b.
+    """
     normalized = normalize_setup(setup)
     tau_scaled = scaled_slope(normalized.tau)
-    out: set[Weight] = set()
+    box_lo = (-bound,) * setup.m
+    box_hi = (bound,) * setup.m
+    # sum c_h kappa_h = -eta * b . tau <= bound * sum(tau) caps each c_h
+    reach = bound * sum(tau_scaled)
+    out: dict[Weight, int] = {}
     for pt in normalized.points:
-        freqs = [_int_dot(k, tau_scaled) for k in pt.tangent_weights]
+        freqs = _frequencies_scaled(pt, tau_scaled)
+        eta, orientation, n = pt.group_sign, pt.orientation_sign, pt.n
+        highs = tuple(reach // f for f in freqs)
+        for c, y in solutions_in_window(pt.tangent_weights, (0,) * n, highs, box_lo, box_hi):
+            b = tuple([-eta * v for v in y])
+            out[b] = out.get(b, 0) + (orientation << (n - c.count(0)))
+    return out
+
+
+def _de_rham_scatter(setup: OperatorSetup, bound: int) -> dict[Weight, int]:
+    """b -> transverse_index(b) for every b in the box that some kernel reaches.
+
+    On each line whose epsilons are all -1, every m <= 0 with
+    sum m_h k_h = a + eta * b, b in the box, adds the line's grading to b.
+    """
+    normalized = normalize_setup(setup)
+    tau_scaled = scaled_slope(normalized.tau)
+    out: dict[Weight, int] = {}
+    for pt in normalized.points:
+        freqs = _frequencies_scaled(pt, tau_scaled)
         eta = pt.group_sign
         for line in pt.lines:
             if any(e != -1 for e in line.epsilon):
                 continue
-            # y = sum m_h k_h must satisfy y = a + eta*b with b in the box
             lo_vec = tuple(a - bound for a in line.a)
             hi_vec = tuple(a + bound for a in line.a)
+            # m_h * kappa_h >= y . tau >= t_min, since every other term is <= 0
             t_min = sum(
                 lo * t if t > 0 else hi * t
                 for lo, hi, t in zip(lo_vec, hi_vec, tau_scaled)
@@ -119,186 +80,69 @@ def kernel_support(setup: OperatorSetup, bound: int) -> set[Weight]:
             if t_min > 0:
                 continue
             lows = tuple(-((-t_min) // f) for f in freqs)
-            highs = (0,) * pt.n
-            for y in _images_in_box(pt.tangent_weights, lows, highs, lo_vec, hi_vec):
-                out.add(tuple(eta * (yp - ap) for yp, ap in zip(y, line.a)))
+            for _, y in solutions_in_window(pt.tangent_weights, lows, (0,) * pt.n, lo_vec, hi_vec):
+                b = tuple([eta * (v - a) for v, a in zip(y, line.a)])
+                out[b] = out.get(b, 0) + line.grading
     return out
+
+
+def kernel_support(setup: OperatorSetup, bound: int) -> set[Weight]:
+    """All b in the box that solve some line's kernel equation at some point."""
+    return set(_de_rham_scatter(setup, bound))
 
 
 def signature_support(setup: OperatorSetup, bound: int) -> set[Weight]:
     """All b in the box with eta*b = -sum c_h k_h solvable in c >= 0 somewhere."""
-    normalized = normalize_setup(setup)
-    tau_scaled = scaled_slope(normalized.tau)
-    m = setup.m
-    box_lo = (-bound,) * m
-    box_hi = (bound,) * m
-    out: set[Weight] = set()
-    t_total = sum(tau_scaled)
-    for pt in normalized.points:
-        freqs = [_int_dot(k, tau_scaled) for k in pt.tangent_weights]
-        eta = pt.group_sign
-        lows = (0,) * pt.n
-        highs = tuple((bound * t_total) // f for f in freqs)
-        for y in _images_in_box(pt.tangent_weights, lows, highs, box_lo, box_hi):
-            out.add(tuple(-eta * yp for yp in y))
-    return out
+    return set(_killing_scatter(setup, bound))
 
 
-def _prepared_points(normalized: OperatorSetup):
-    """Per-point integer data for the hot sweep loops: weights, scaled
-    frequencies, signs, and the lines that can meet a kernel (all eps = -1)."""
-    tau_scaled = scaled_slope(normalized.tau)
-    prepared = []
-    for pt in normalized.points:
-        freqs = tuple(_int_dot(k, tau_scaled) for k in pt.tangent_weights)
-        kernel_lines = tuple(
-            (line.grading, line.a)
-            for line in pt.lines
-            if all(e == -1 for e in line.epsilon)
+def _sweep(check, setup, bound, characters, scatter, residual) -> SweepReport:
+    if characters is not None:
+        explicit = sorted({tuple(int(x) for x in b) for b in characters})
+        candidates = [b for b in explicit if any(b)]
+        if not candidates:
+            raise NothingToCheck(
+                "the character list holds no nonzero character; nothing would be checked"
+            )
+        nonzero = tuple(
+            (b, r) for b in candidates if (r := residual(setup, b).value) != 0
         )
-        prepared.append(
-            (pt.tangent_weights, freqs, pt.group_sign, pt.orientation_sign, kernel_lines)
+        return SweepReport(check, "explicit-list", bound, len(candidates), nonzero)
+    if bound is None:
+        raise ValueError("provide either a bound or an explicit character list")
+    checked = (2 * bound + 1) ** setup.m - 1 if bound >= 0 else 0
+    if checked <= 0:
+        raise NothingToCheck(
+            f"box bound {bound} at rank m={setup.m} holds no nonzero character; "
+            "nothing would be checked"
         )
-    return tau_scaled, prepared
-
-
-def _killing_residual(tau_scaled, prepared, b: Weight) -> int:
-    """b_signature_sum on pre-normalized data, integer arithmetic only."""
-    residual = 0
-    for weights, freqs, eta, orientation, _ in prepared:
-        target = tuple(-eta * c for c in b)
-        total = _int_dot(target, tau_scaled)
-        if total < 0:
-            continue
-        highs = tuple(total // f for f in freqs)
-        lows = (0,) * len(weights)
-        term = 0
-        for c in solve_in_box(weights, target, lows, highs):
-            term += 1 << sum(1 for x in c if x > 0)
-        residual += orientation * term
-    return residual
-
-
-def _index_residual(tau_scaled, prepared, b: Weight) -> int:
-    """transverse_index on pre-normalized data, integer arithmetic only."""
-    value = 0
-    for weights, freqs, eta, _, kernel_lines in prepared:
-        eb = tuple(eta * c for c in b)
-        n = len(weights)
-        for grading, a in kernel_lines:
-            target = tuple(x + y for x, y in zip(a, eb))
-            total = _int_dot(target, tau_scaled)
-            if total > 0:
-                continue
-            lows = tuple(-((-total) // f) for f in freqs)
-            value += grading * sum(1 for _ in solve_in_box(weights, target, lows, (0,) * n))
-    return value
+    nonzero = tuple(
+        sorted((b, r) for b, r in scatter(setup, bound).items() if r != 0 and any(b))
+    )
+    return SweepReport(check, "full-box", bound, checked, nonzero)
 
 
 def sweep_killing(
     setup: OperatorSetup,
     bound: Optional[int] = None,
     characters: Optional[Iterable[Sequence[int]]] = None,
-    threads: Optional[int] = None,
 ) -> SweepReport:
     """Residuals of the Killing-field identity over a box or explicit list.
 
-    The zero character is excluded from box sweeps: there the sum collapses
-    to the plain orientation count (the signature identity), not to zero.
+    The zero character is excluded: there the sum collapses to the plain
+    orientation count (the signature identity), not to zero.
     """
-    candidates, strategy = _candidates(setup, bound, characters, signature_support)
-    normalized = normalize_setup(setup)
-    tau_scaled, prepared = _prepared_points(normalized)
-    nonzero = _evaluate(
-        lambda b: _killing_residual(tau_scaled, prepared, b),
-        candidates,
-        setup,
-        "killing",
-        threads,
-    )
-    return SweepReport(
-        check="killing-identity",
-        strategy=strategy,
-        bound=bound,
-        checked=len(candidates),
-        nonzero=tuple(nonzero),
-    )
+    return _sweep("killing-identity", setup, bound, characters, _killing_scatter, b_signature_sum)
 
 
 def sweep_de_rham_vanishing(
     setup: OperatorSetup,
     bound: Optional[int] = None,
     characters: Optional[Iterable[Sequence[int]]] = None,
-    threads: Optional[int] = None,
 ) -> SweepReport:
     """Residuals of the nonzero-character de Rham vanishing over a box or list."""
     if setup.operator_kind != "deRham":
         raise WrongOperatorKind(
             f"de Rham sweep needs operator_kind='deRham', got {setup.operator_kind!r}"
         )
-    candidates, strategy = _candidates(setup, bound, characters, kernel_support)
-    normalized = normalize_setup(setup)
-    tau_scaled, prepared = _prepared_points(normalized)
-    nonzero = _evaluate(
-        lambda b: _index_residual(tau_scaled, prepared, b),
-        candidates,
-        setup,
-        "deRham",
-        threads,
-    )
-    return SweepReport(
-        check="deRham-vanishing",
-        strategy=strategy,
-        bound=bound,
-        checked=len(candidates),
-        nonzero=tuple(nonzero),
-    )
-
-
-def _candidates(setup, bound, characters, support_fn):
-    if characters is not None:
-        explicit = sorted({tuple(int(x) for x in b) for b in characters})
-        return [b for b in explicit if any(b)], "explicit-list"
-    if bound is None:
-        raise ValueError("provide either a bound or an explicit character list")
-    zero = (0,) * setup.m
-    if _box_count(setup.m, bound) <= FULL_SWEEP_LIMIT:
-        return [b for b in _box_characters(setup.m, bound) if b != zero], "full-box"
-    # characters outside the support have empty counts everywhere: residual 0
-    support = support_fn(setup, bound)
-    support.discard(zero)
-    return sorted(support), "support"
-
-
-def _threads_from_env() -> int:
-    raw = os.environ.get("TRANSVERSE_INDEX_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _evaluate(residual_fn, candidates, setup, check, threads):
-    threads = _threads_from_env() if threads is None else max(1, int(threads))
-    if threads == 1 or len(candidates) < 1024:
-        return [(b, r) for b in candidates if (r := residual_fn(b)) != 0]
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunk = (len(candidates) + threads - 1) // threads
-    chunks = [candidates[i : i + chunk] for i in range(0, len(candidates), chunk)]
-    args = [(setup, check, part) for part in chunks]
-    out = []
-    with ProcessPoolExecutor(max_workers=threads) as pool:
-        for part in pool.map(_residual_chunk, args):
-            out.extend(part)
-    return out
-
-
-def _residual_chunk(args):
-    setup, check, candidates = args
-    tau_scaled, prepared = _prepared_points(normalize_setup(setup))
-    if check == "killing":
-        fn = lambda b: _killing_residual(tau_scaled, prepared, b)
-    else:
-        fn = lambda b: _index_residual(tau_scaled, prepared, b)
-    return [(b, r) for b in candidates if (r := fn(b)) != 0]
+    return _sweep("deRham-vanishing", setup, bound, characters, _de_rham_scatter, transverse_index)

@@ -7,7 +7,6 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-import transverse_index.sweeps as sweeps
 from transverse_index import (
     b_signature_sum,
     euler_characteristic,
@@ -204,11 +203,7 @@ def _cpn_taus(n):
     ]
 
 
-def test_criterion_9_slope_invariance(capsys, monkeypatch):
-    # support enumeration is exact for every rank, so force it everywhere to
-    # keep the sweep re-runs fast; coverage of the box is unchanged
-    monkeypatch.setattr(sweeps, "FULL_SWEEP_LIMIT", 0)
-
+def test_criterion_9_slope_invariance(capsys):
     # criterion 1: the sphere table, three slopes
     tables = []
     for tau in SPHERE_TAUS:

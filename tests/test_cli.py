@@ -179,6 +179,22 @@ def test_verify_command(capsys, tmp_path):
     assert code == 3
 
 
+def test_verify_refuses_to_check_nothing(capsys, tmp_path):
+    # a sweep over no nonzero character would pass vacuously: exit 2 instead
+    de_rham = tmp_path / "cp2d.json"
+    save_setup(gen_cpn(2, kind="deRham"), de_rham)
+    signature = tmp_path / "cp2s.json"
+    save_setup(gen_cpn(2, kind="signature"), signature)
+    for path in (de_rham, signature):
+        for bound in ("-3", "0"):
+            code, out, err = run(capsys, "verify", path, "--bmax", bound)
+            assert code == 2 and out == ""
+            assert f"box bound {bound}" in err and "nothing would be checked" in err
+        code, out, err = run(capsys, "verify", path, "--b-list", "0,0,0")
+        assert code == 2 and out == ""
+        assert "character list" in err and "nothing would be checked" in err
+
+
 def test_generate_round_trip(capsys, tmp_path):
     code, out, _ = run(capsys, "generate", "sphere")
     assert code == 0

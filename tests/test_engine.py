@@ -4,6 +4,7 @@ from dataclasses import replace
 import pytest
 
 from transverse_index import (
+    EulerMismatch,
     OperatorSetup,
     WrongOperatorKind,
     ZeroB,
@@ -135,6 +136,21 @@ def test_euler_characteristic():
     assert euler_characteristic(empty) == 0
     with pytest.raises(WrongOperatorKind):
         euler_characteristic(gen_cpn(2, kind="signature"))
+
+
+def test_euler_characteristic_rejects_inconsistent_data():
+    # flip the grading of the a = 0 kernel line at one point of CP^2: the
+    # invariant index drops from 3 to 1 and no longer counts the points
+    setup = gen_cpn(2, kind="deRham")
+    pt = setup.points[0]
+    j = next(i for i, line in enumerate(pt.lines) if not any(line.a))
+    assert all(e == -1 for e in pt.lines[j].epsilon)
+    lines = list(pt.lines)
+    lines[j] = replace(lines[j], grading=-lines[j].grading)
+    bad = replace(setup, points=(replace(pt, lines=tuple(lines)),) + setup.points[1:])
+    assert transverse_index(bad, (0, 0, 0)).value == 1
+    with pytest.raises(EulerMismatch, match="disagrees with point count 3"):
+        euler_characteristic(bad)
 
 
 def test_signature():

@@ -1,5 +1,6 @@
 """Kernel and restricted lattice counts against brute-force boxes."""
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +18,7 @@ from transverse_index import (
     restricted_count,
     slope,
 )
+from transverse_index.lattice import solutions_in_window
 
 from oracles import (
     brute_kernel_count,
@@ -131,6 +133,36 @@ def test_nonneg_combinations_group_to_restricted_counts():
         support = tuple(i for i, x in enumerate(c) if x > 0)
         by_support[support] = by_support.get(support, 0) + 1
     assert by_support == {(0,): 1, (1,): 1, (0, 1): 1}
+
+
+@st.composite
+def window_problems(draw):
+    m = draw(st.integers(0, 3))
+    n = draw(st.integers(0, 3))
+    small = st.integers(-3, 3)
+    weights = [draw(st.tuples(*[small] * m)) for _ in range(n)]
+    lows = draw(st.tuples(*[small] * n))
+    highs = tuple(lo + draw(st.integers(-1, 4)) for lo in lows)
+    lo_vec = draw(st.tuples(*[st.integers(-8, 8)] * m))
+    hi_vec = tuple(lo + draw(st.integers(-1, 6)) for lo in lo_vec)
+    return weights, lows, highs, lo_vec, hi_vec
+
+
+@given(window_problems())
+@settings(max_examples=200, deadline=None)
+def test_solutions_in_window_matches_box_oracle(problem):
+    # every x in the unknown box whose image lands in the window, in
+    # lexicographic order, each with its image; no box, weight or window
+    # sign is assumed
+    weights, lows, highs, lo_vec, hi_vec = problem
+    expected = []
+    for x in product(*(range(lo, hi + 1) for lo, hi in zip(lows, highs))):
+        image = tuple(
+            sum(xh * k[p] for xh, k in zip(x, weights)) for p in range(len(lo_vec))
+        )
+        if all(lo <= y <= hi for lo, y, hi in zip(lo_vec, image, hi_vec)):
+            expected.append((x, image))
+    assert list(solutions_in_window(weights, lows, highs, lo_vec, hi_vec)) == expected
 
 
 @st.composite

@@ -1,4 +1,4 @@
-"""Support enumeration and residual sweeps."""
+"""Scatter sweeps and their support sets, checked against the engine formulas."""
 from dataclasses import replace
 from itertools import product
 
@@ -6,14 +6,19 @@ import pytest
 
 import transverse_index.sweeps as sweeps
 from transverse_index import (
+    NothingToCheck,
+    OperatorSetup,
     WrongOperatorKind,
     b_signature_sum,
+    build_form_datum,
     gen_cpn,
+    gen_sphere_operator,
     gen_su2_mod_t,
     kernel_count,
     kernel_support,
     normalize_setup,
     signature_support,
+    slope,
     sweep_de_rham_vanishing,
     sweep_killing,
     transverse_index,
@@ -50,36 +55,124 @@ def test_signature_support_covers_every_nonzero_term():
             assert b in support
 
 
-def test_support_strategy_agrees_with_full_box(monkeypatch):
-    # corrupt one grading so residuals exist, then compare both strategies
-    setup = gen_cpn(2, kind="deRham")
-    pt = setup.points[0]
-    bad_pt = replace(
-        pt, lines=(pt.lines[0], replace(pt.lines[1], grading=1)) + pt.lines[2:]
-    )
-    bad = replace(setup, points=(bad_pt,) + setup.points[1:])
-
-    full = sweep_de_rham_vanishing(bad, bound=4)
-    assert full.strategy == "full-box"
-    monkeypatch.setattr(sweeps, "FULL_SWEEP_LIMIT", 10)
-    via_support = sweep_de_rham_vanishing(bad, bound=4)
-    assert via_support.strategy == "support"
-    assert via_support.nonzero == full.nonzero
-    assert not full.ok and full.nonzero
+def _flip_grading(setup, point, line):
+    pt = setup.points[point]
+    lines = list(pt.lines)
+    lines[line] = replace(lines[line], grading=-lines[line].grading)
+    return _replace_point(setup, point, lines=tuple(lines))
 
 
-def test_killing_sweep_strategies_agree(monkeypatch):
-    setup = gen_cpn(2, kind="signature")
-    flipped = replace(
+def _flip_orientation(setup, point):
+    pt = setup.points[point]
+    return _replace_point(
         setup,
-        points=(replace(setup.points[0], base_orientation=-1),) + setup.points[1:],
+        point,
+        base_orientation=-pt.base_orientation,
+        orientation_sign=-pt.orientation_sign,
     )
-    full = sweep_killing(flipped, bound=3)
-    monkeypatch.setattr(sweeps, "FULL_SWEEP_LIMIT", 10)
-    via_support = sweep_killing(flipped, bound=3)
-    assert via_support.strategy == "support"
-    assert via_support.nonzero == full.nonzero
-    assert not full.ok
+
+
+def _replace_point(setup, point, **changes):
+    points = list(setup.points)
+    points[point] = replace(points[point], **changes)
+    return replace(setup, points=tuple(points))
+
+
+def _reversed_second_point(setup):
+    # gen_su2_mod_t has group_sign = +1 at both points; reverse the circle
+    # parameter at the second one so the sweeps meet group_sign = -1
+    return _replace_point(setup, 1, group_sign=-1)
+
+
+RATIONAL_TAU = [1, "3/2", "7/2"]
+
+
+def _diagonal(kind):
+    # the weight (1, 1) has kappa = 2 at tau = (1, 1), so c * kappa reaches
+    # 2 * bound inside the box; the full 4^n line set adds lines with mixed
+    # epsilons, which can never meet a kernel
+    pt = build_form_datum("d", [(1, 1), (0, 1)], kind, 1, all_lines=True)
+    return OperatorSetup(m=2, tau=slope([1, 1]), points=(pt,), operator_kind=kind)
+
+
+def _engine_nonzero(setup, bound, residual):
+    return tuple(
+        (b, r)
+        for b in box(setup.m, bound)
+        if any(b) and (r := residual(setup, b).value) != 0
+    )
+
+
+def _de_rham_setups():
+    su2 = gen_su2_mod_t("deRham")
+    return [
+        (gen_cpn(2, kind="deRham"), 4),
+        (gen_cpn(2, tau=RATIONAL_TAU, kind="deRham"), 4),
+        (su2, 12),
+        (_reversed_second_point(su2), 12),
+        (replace(gen_sphere_operator(), operator_kind="deRham"), 12),
+        (_diagonal("deRham"), 5),
+    ]
+
+
+def _killing_setups():
+    su2 = gen_su2_mod_t("signature")
+    return [
+        (gen_cpn(2, kind="signature"), 3),
+        (gen_cpn(2, tau=RATIONAL_TAU, kind="signature"), 3),
+        (gen_cpn(3, kind="signature"), 2),
+        (su2, 12),
+        (_reversed_second_point(su2), 12),
+        (gen_sphere_operator(), 12),
+        (_diagonal("signature"), 5),
+    ]
+
+
+def test_de_rham_fault_matches_engine_over_full_box():
+    # a flipped grading on one kernel line at each point, a different line
+    # per point: the scatter must report exactly the engine's nonzero
+    # residuals over the whole box
+    faults = 0
+    for setup, bound in _de_rham_setups():
+        for point, pt in enumerate(setup.points):
+            kernel_lines = [
+                j for j, line in enumerate(pt.lines) if all(e == -1 for e in line.epsilon)
+            ]
+            bad = _flip_grading(setup, point, kernel_lines[point % len(kernel_lines)])
+            report = sweep_de_rham_vanishing(bad, bound=bound)
+            assert report.strategy == "full-box"
+            assert report.checked == (2 * bound + 1) ** setup.m - 1
+            expected = _engine_nonzero(bad, bound, transverse_index)
+            assert report.nonzero == expected
+            faults += bool(expected)
+    assert faults >= 8
+
+
+def test_killing_fault_matches_engine_over_full_box():
+    # a flipped orientation at each point, one at a time
+    faults = 0
+    for setup, bound in _killing_setups():
+        for point in range(len(setup.points)):
+            bad = _flip_orientation(setup, point)
+            report = sweep_killing(bad, bound=bound)
+            assert report.strategy == "full-box"
+            assert report.checked == (2 * bound + 1) ** setup.m - 1
+            expected = _engine_nonzero(bad, bound, b_signature_sum)
+            assert report.nonzero == expected
+            faults += bool(expected)
+    assert faults >= 10
+
+
+def test_scatter_residuals_match_engine_values():
+    # every residual of the walk, zero character and cancelled ones included,
+    # equals the engine formula; characters the walk never reaches read 0
+    cases = [(s, b, sweeps._de_rham_scatter, transverse_index) for s, b in _de_rham_setups()]
+    cases += [(s, b, sweeps._killing_scatter, b_signature_sum) for s, b in _killing_setups()]
+    for setup, bound, scatter, residual in cases:
+        residuals = scatter(setup, bound)
+        assert all(max(abs(x) for x in b) <= bound for b in residuals)
+        for b in box(setup.m, bound):
+            assert residuals.get(b, 0) == residual(setup, b).value
 
 
 def test_clean_sweeps_pass():
@@ -91,8 +184,8 @@ def test_clean_sweeps_pass():
 def test_killing_identity_holds_out_to_one_hundred():
     # wide-radius check at a rank where the support stays small
     report = sweep_killing(gen_cpn(2, kind="signature"), bound=100)
-    assert report.strategy == "support"
-    assert report.checked > 10_000
+    assert report.strategy == "full-box"
+    assert report.checked == 201**3 - 1
     assert report.ok
 
 
@@ -129,24 +222,14 @@ def test_sweep_needs_bound_or_list():
         sweep_killing(gen_cpn(2, kind="signature"))
 
 
-def test_fast_residuals_match_engine_values():
-    setup = gen_cpn(2, kind="signature")
-    tau_scaled, prepared = sweeps._prepared_points(normalize_setup(setup))
-    de_rham = gen_cpn(2, kind="deRham")
-    ts2, prep2 = sweeps._prepared_points(normalize_setup(de_rham))
-    for b in box(3, 3):
-        assert sweeps._killing_residual(tau_scaled, prepared, b) == b_signature_sum(
-            setup, b
-        ).value
-        assert sweeps._index_residual(ts2, prep2, b) == transverse_index(
-            de_rham, b
-        ).value
-
-
-def test_threaded_sweep_matches_serial(monkeypatch):
-    # bound 5 yields 1331 candidates, enough to engage the process pool
-    setup = gen_cpn(2, kind="signature")
-    serial = sweep_killing(setup, bound=5)
-    monkeypatch.setenv("TRANSVERSE_INDEX_THREADS", "2")
-    threaded = sweep_killing(setup, bound=5)
-    assert threaded == serial
+def test_sweeps_refuse_to_check_nothing():
+    # no nonzero character to check must not read as a pass
+    for sweep, kind in ((sweep_killing, "signature"), (sweep_de_rham_vanishing, "deRham")):
+        setup = gen_cpn(2, kind=kind)
+        for bound in (-3, 0):
+            with pytest.raises(NothingToCheck, match=f"box bound {bound}"):
+                sweep(setup, bound=bound)
+        for characters in ([(0, 0, 0)], []):
+            with pytest.raises(NothingToCheck, match="character list"):
+                sweep(setup, characters=characters)
+        assert sweep(setup, bound=1).checked == 26
